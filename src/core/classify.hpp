@@ -62,7 +62,6 @@ struct ClassifyConfig {
 
 [[nodiscard]] ClassificationReport classify_events(
     const Dataset& dataset, const std::vector<RtbhEvent>& events,
-    const PreRtbhReport& pre, const ClassifyConfig& config = {},
-    KernelEngine engine = KernelEngine::kColumnar);
+    const PreRtbhReport& pre, const ClassifyConfig& config = {});
 
 }  // namespace bw::core

@@ -46,7 +46,6 @@ struct CollateralReport {
     const Dataset& dataset, const std::vector<RtbhEvent>& events,
     const PortStatsReport& stats, std::uint32_t sampling_rate = 10000,
     util::ThreadPool* pool = nullptr,
-    const util::Deadline* deadline = nullptr,
-    KernelEngine engine = KernelEngine::kColumnar);
+    const util::Deadline* deadline = nullptr);
 
 }  // namespace bw::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "core/engine.hpp"
 #include "core/flow_view.hpp"
 #include "util/arena.hpp"
 
@@ -33,39 +34,20 @@ DropRateReport compute_drop_rates(const Dataset& dataset,
                                   const std::vector<RtbhEvent>& events,
                                   const DropRateConfig& config,
                                   util::ThreadPool* pool_opt,
-                                  const util::Deadline* deadline,
-                                  KernelEngine engine) {
+                                  const util::Deadline* deadline) {
   util::ThreadPool& pool = util::pool_or_global(pool_opt);
   DropRateReport report;
 
-  // Records engine: walk the AoS log via the sorted index (the seed path).
-  const auto records_delta = [&](std::size_t e) {
-    const auto& ev = events[e];
-    // The shared tally hoists the per-length stats slot and the /32 check
-    // out of the per-record loop — and is the exact accumulator the
-    // streaming incremental kernel uses, so the two cannot drift.
-    DropEventTally tally;
-    tally.init(ev.prefix.length());
-    for (const auto& active : ev.active) {
-      dataset.for_each_flow_to(ev.prefix, active,
-                               [&](const flow::FlowRecord& rec) {
-        tally.add(rec.packets, rec.bytes, rec.dropped(),
-                  tally.host_event ? dataset.member_asn(rec.src_mac)
-                                   : std::nullopt);
-      });
-    }
-    return tally.delta();
-  };
-
-  // Columnar engine: per-source accumulation over flat arena arrays indexed
-  // by dense member id. Dense ids ascend with ASN (Dataset::source_as), so
-  // the emitted source list matches the records engine's std::map order;
-  // the "seen" bitset reproduces map-entry creation even for zero-packet
-  // records.
+  // Per-source accumulation over flat arena arrays indexed by dense member
+  // id. Dense ids ascend with ASN (Dataset::source_as), so the emitted
+  // source list is in ascending-ASN order (DropEventDelta's contract); the
+  // "seen" bitset creates a source entry for every attributed record, even
+  // a zero-packet one, exactly as DropEventTally does for the streaming
+  // kernel.
   const FlowView view = dataset.view();
   const std::size_t n_src = dataset.source_as_count();
   static const KernelScanMetrics metrics = make_kernel_scan_metrics("drop_rate");
-  const auto columnar_delta = [&](std::size_t e) {
+  const auto event_delta = [&](std::size_t e) {
     thread_local util::Arena arena;
     arena.reset();
     const auto& ev = events[e];
@@ -123,10 +105,8 @@ DropRateReport compute_drop_rates(const Dataset& dataset,
 
   const obs::StopWatch watch;
   const auto deltas =
-      engine == KernelEngine::kColumnar
-          ? util::parallel_map(pool, events.size(), columnar_delta, 0, deadline)
-          : util::parallel_map(pool, events.size(), records_delta, 0, deadline);
-  if (engine == KernelEngine::kColumnar) metrics.ns->add(watch.elapsed_ns());
+      util::parallel_map(pool, events.size(), event_delta, 0, deadline);
+  metrics.ns->add(watch.elapsed_ns());
 
   report = assemble_drop_rate_report(deltas, config,
                                      dataset.mac_table().size());

@@ -1,26 +1,11 @@
-// Kernel execution engine selection and per-kernel scan instrumentation.
-//
-// Every hot analysis kernel exists twice: the columnar engine scans the
-// Dataset's structure-of-arrays flow view (flow/columns.hpp), the records
-// engine walks the AoS FlowRecord log the way the seed implementation did.
-// Both produce byte-identical reports — the records engine is kept as the
-// correctness oracle for the golden-equivalence tests and as the fallback
-// for ad-hoc analyses that need fields the columns do not carry.
+// Per-kernel scan instrumentation shared by every hot analysis kernel.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "obs/metrics.hpp"
 
 namespace bw::core {
-
-enum class KernelEngine : std::uint8_t {
-  kColumnar,  ///< structure-of-arrays scans (default, fast path)
-  kRecords,   ///< AoS FlowRecord scans (seed-equivalent oracle)
-};
-
-[[nodiscard]] std::string_view to_string(KernelEngine engine);
 
 /// Per-kernel scan counters, registered as kernel.<name>.scan_rows and
 /// kernel.<name>.scan_ns. Rows counts resolved range sizes and is invariant

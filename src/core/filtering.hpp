@@ -25,7 +25,6 @@ struct FilteringReport {
 
 [[nodiscard]] FilteringReport compute_filtering(
     const Dataset& dataset, const std::vector<RtbhEvent>& events,
-    const PreRtbhReport& pre, double full_threshold = 0.95,
-    KernelEngine engine = KernelEngine::kColumnar);
+    const PreRtbhReport& pre, double full_threshold = 0.95);
 
 }  // namespace bw::core

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/flow_view.hpp"
 #include "net/ports.hpp"
 
 namespace bw::core {
@@ -22,6 +23,8 @@ ParticipationReport compute_participation(const Dataset& dataset,
   std::uint64_t total_amplifiers = 0;
   std::uint64_t total_handover = 0;
   std::uint64_t total_origins = 0;
+  const FlowView view = dataset.view();
+  constexpr auto kUdp = static_cast<std::uint8_t>(net::Proto::kUdp);
 
   for (std::size_t e = 0; e < events.size(); ++e) {
     if (e >= pre.per_event.size() || !pre.per_event[e].anomaly_within_10min) {
@@ -34,22 +37,25 @@ ParticipationReport compute_participation(const Dataset& dataset,
     std::unordered_map<bgp::Asn, std::uint64_t> ev_handover_pkts;
     std::unordered_map<bgp::Asn, std::uint64_t> ev_origin_pkts;
 
-    dataset.for_each_flow_to(ev.prefix, ev.span,
-                             [&](const flow::FlowRecord& rec) {
-      if (rec.proto != net::Proto::kUdp ||
-          !net::is_amplification_port(rec.src_port)) {
+    view.for_each_dst_row(ev.prefix, ev.span,
+                          [&](const flow::FlowColumns& cols, std::size_t i) {
+      if (cols.proto[i] != kUdp || !net::is_amplification_port(cols.src_port[i])) {
         return;
       }
-      amplifiers.insert(rec.src_ip.value());
-      if (const auto asn = dataset.member_asn(rec.src_mac)) {
-        ev_handover.insert(*asn);
-        ev_handover_pkts[*asn] += rec.packets;
+      const std::uint64_t pk = cols.packets[i];
+      amplifiers.insert(cols.src_ip[i]);
+      // The dense member id resolves to the handover MAC's member AS.
+      if (const std::uint32_t m = cols.src_member[i];
+          m != flow::FlowColumns::kNoMember) {
+        const bgp::Asn asn = dataset.source_as(m);
+        ev_handover.insert(asn);
+        ev_handover_pkts[asn] += pk;
       }
-      if (const auto asn = dataset.origin_asn(rec.src_ip)) {
+      if (const auto asn = dataset.origin_asn(net::Ipv4(cols.src_ip[i]))) {
         ev_origins.insert(*asn);
-        ev_origin_pkts[*asn] += rec.packets;
+        ev_origin_pkts[*asn] += pk;
       }
-      total_packets += rec.packets;
+      total_packets += pk;
     });
     if (amplifiers.empty()) continue;  // not an amplification attack
 

@@ -62,15 +62,14 @@ struct PortStatsConfig {
   util::DurationMs reaction_window{10 * util::kMinute};
 };
 
-/// The flow-log pass shards over `pool` (null: the global pool) with
-/// per-shard accumulators; set/sum merging keeps the result identical at
-/// any thread count.
+/// Blackholed hosts fan out over `pool` (null: the global pool), each one
+/// visiting only its own destination and source runs; hosts land in
+/// ascending address order, so the report is identical at any thread count.
 /// A non-null `deadline` is polled per chunk (cooperative supervision).
 [[nodiscard]] PortStatsReport compute_port_stats(
     const Dataset& dataset, const std::vector<RtbhEvent>& events,
     const PortStatsConfig& config = {}, util::ThreadPool* pool = nullptr,
-    const util::Deadline* deadline = nullptr,
-    KernelEngine engine = KernelEngine::kColumnar);
+    const util::Deadline* deadline = nullptr);
 
 /// Table 4: origin-AS type distribution of detected clients and servers.
 struct AsnTypeRow {

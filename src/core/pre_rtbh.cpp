@@ -8,8 +8,7 @@ PreRtbhReport compute_pre_rtbh(const Dataset& dataset,
                                const std::vector<RtbhEvent>& events,
                                const PreRtbhConfig& config,
                                util::ThreadPool* pool_opt,
-                               const util::Deadline* deadline,
-                               KernelEngine engine) {
+                               const util::Deadline* deadline) {
   util::ThreadPool& pool = util::pool_or_global(pool_opt);
   PreRtbhReport report;
 
@@ -32,7 +31,7 @@ PreRtbhReport compute_pre_rtbh(const Dataset& dataset,
     window.begin = std::max(window.begin, dataset.period().begin);
 
     const FeatureMatrix features =
-        compute_features(dataset, ev.prefix, window, config.slot, engine);
+        compute_features(dataset, ev.prefix, window, config.slot);
     res.slots_with_data = features.slots_with_data();
     res.has_data = res.slots_with_data > 0;
 

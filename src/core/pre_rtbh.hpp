@@ -61,7 +61,6 @@ struct PreRtbhConfig {
 [[nodiscard]] PreRtbhReport compute_pre_rtbh(
     const Dataset& dataset, const std::vector<RtbhEvent>& events,
     const PreRtbhConfig& config = {}, util::ThreadPool* pool = nullptr,
-    const util::Deadline* deadline = nullptr,
-    KernelEngine engine = KernelEngine::kColumnar);
+    const util::Deadline* deadline = nullptr);
 
 }  // namespace bw::core

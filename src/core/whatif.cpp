@@ -1,8 +1,8 @@
 #include "core/whatif.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
+#include "core/flow_view.hpp"
 #include "net/ports.hpp"
 
 namespace bw::core {
@@ -20,14 +20,20 @@ std::string_view to_string(Strategy s) {
 
 namespace {
 
-bool is_attack_packet(const flow::FlowRecord& rec) {
-  if (rec.proto != net::Proto::kUdp) return false;
-  if (net::is_amplification_port(rec.src_port)) return true;
+constexpr auto kUdp = static_cast<std::uint8_t>(net::Proto::kUdp);
+
+bool is_amp_source(const flow::FlowColumns& c, std::size_t i) {
+  return c.proto[i] == kUdp && net::is_amplification_port(c.src_port[i]);
+}
+
+bool is_attack_packet(const flow::FlowColumns& c, std::size_t i) {
+  if (c.proto[i] != kUdp) return false;
+  if (is_amp_source(c, i)) return true;
   // UDP towards an ephemeral destination port during an attack event:
   // reflection lands on the port the attacker spoofed, carpet floods sweep
   // high ports. Gaming clients also live here — that ambiguity is exactly
   // the whitelisting problem Section 7.2 describes.
-  return rec.dst_port >= 1024;
+  return c.dst_port[i] >= 1024;
 }
 
 bool in_active_span(const RtbhEvent& ev, util::TimeMs t) {
@@ -50,56 +56,59 @@ WhatIfReport compute_whatif(const Dataset& dataset,
     report.outcomes[s].strategy = static_cast<Strategy>(s);
   }
 
+  const FlowView view = dataset.view();
+  std::vector<std::uint8_t> attack_peer(dataset.source_as_count());
   for (std::size_t e = 0; e < events.size(); ++e) {
     if (e >= pre.per_event.size() || !pre.per_event[e].anomaly_within_10min) {
       continue;
     }
     const auto& ev = events[e];
 
-    // Pass 1: which handover ASes carry attack traffic in this event? Two
-    // streaming scans replace the materialized index vector — the visit
-    // order is identical, and chunked datasets never hold the whole log.
+    // Pass 1: which handover ASes carry attack traffic in this event? Dense
+    // member ids stand for the handover MACs' member ASes (one id per AS),
+    // so a flag per id is the attacking-peer set.
     std::size_t matched = 0;
-    std::unordered_set<bgp::Asn> attack_peers;
-    dataset.for_each_flow_to(ev.prefix, ev.span,
-                             [&](const flow::FlowRecord& rec) {
+    std::fill(attack_peer.begin(), attack_peer.end(), std::uint8_t{0});
+    view.for_each_dst_row(ev.prefix, ev.span,
+                          [&](const flow::FlowColumns& cols, std::size_t i) {
       ++matched;
-      if (!is_attack_packet(rec)) return;
-      if (const auto asn = dataset.member_asn(rec.src_mac)) {
-        attack_peers.insert(*asn);
+      const std::uint32_t m = cols.src_member[i];
+      if (m != flow::FlowColumns::kNoMember && is_attack_packet(cols, i)) {
+        attack_peer[m] = 1;
       }
     });
     if (matched == 0) continue;
     ++report.events_considered;
 
     // Pass 2: evaluate every strategy per sampled packet.
-    dataset.for_each_flow_to(ev.prefix, ev.span,
-                             [&](const flow::FlowRecord& rec) {
-      const bool attack = is_attack_packet(rec);
-      const bool active = in_active_span(ev, rec.time);
-      const auto handover = dataset.member_asn(rec.src_mac);
+    view.for_each_dst_row(ev.prefix, ev.span,
+                          [&](const flow::FlowColumns& cols, std::size_t i) {
+      const bool attack = is_attack_packet(cols, i);
+      const bool active = in_active_span(ev, cols.time[i]);
+      const std::uint32_t m = cols.src_member[i];
+      const bool from_attack_peer =
+          m != flow::FlowColumns::kNoMember && attack_peer[m] != 0;
 
-      const bool amp_match = rec.proto == net::Proto::kUdp &&
-                             net::is_amplification_port(rec.src_port);
+      const bool amp_match = is_amp_source(cols, i);
       const bool advanced_match =
-          amp_match ||
-          (rec.proto == net::Proto::kUdp && rec.dst_port >= 1024);
+          amp_match || (cols.proto[i] == kUdp && cols.dst_port[i] >= 1024);
 
       const std::array<bool, kStrategyCount> dropped{
-          rec.dropped(),                                      // observed
-          active,                                             // perfect RTBH
-          active && handover && attack_peers.contains(*handover),  // targeted
-          amp_match,                                          // FlowSpec
-          advanced_match,                                     // advanced BH
+          cols.dropped(i),             // observed
+          active,                      // perfect RTBH
+          active && from_attack_peer,  // targeted
+          amp_match,                   // FlowSpec
+          advanced_match,              // advanced BH
       };
+      const std::uint64_t pk = cols.packets[i];
       for (std::size_t s = 0; s < kStrategyCount; ++s) {
         auto& o = report.outcomes[s];
         if (attack) {
-          o.attack_packets += rec.packets;
-          if (dropped[s]) o.attack_dropped += rec.packets;
+          o.attack_packets += pk;
+          if (dropped[s]) o.attack_dropped += pk;
         } else {
-          o.legit_packets += rec.packets;
-          if (dropped[s]) o.legit_dropped += rec.packets;
+          o.legit_packets += pk;
+          if (dropped[s]) o.legit_dropped += pk;
         }
       }
     });

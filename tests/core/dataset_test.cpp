@@ -2,15 +2,66 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <unistd.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <string>
+
+#include "core/flow_view.hpp"
 #include "corpus.hpp"
 
 namespace bw::core {
 namespace {
 
 using testutil::World;
+
+/// What a destination scan visited: row count, packet sum, and whether
+/// every visited row really was inside the prefix and the time window.
+struct Scan {
+  std::size_t rows{0};
+  std::uint64_t packets{0};
+  bool all_inside{true};
+};
+
+Scan view_scan(const Dataset& dataset, const net::Prefix& prefix,
+               util::TimeRange range) {
+  Scan s;
+  dataset.view().for_each_dst_row(
+      prefix, range, [&](const flow::FlowColumns& c, std::size_t i) {
+        ++s.rows;
+        s.packets += c.packets[i];
+        if (!prefix.contains(net::Ipv4(c.dst_ip[i])) ||
+            !range.contains(c.time[i])) {
+          s.all_inside = false;
+        }
+      });
+  return s;
+}
+
+/// The oracle: a plain loop over the materialized records.
+Scan naive_scan(const flow::FlowLog& flows, const net::Prefix& prefix,
+                util::TimeRange range) {
+  Scan s;
+  for (const auto& rec : flows) {
+    if (!prefix.contains(rec.dst_ip) || !range.contains(rec.time)) continue;
+    ++s.rows;
+    s.packets += rec.packets;
+  }
+  return s;
+}
+
+void expect_same_summary(const Dataset::Summary& a, const Dataset::Summary& b) {
+  EXPECT_EQ(a.control_updates, b.control_updates);
+  EXPECT_EQ(a.blackhole_updates, b.blackhole_updates);
+  EXPECT_EQ(a.blackholed_prefixes, b.blackholed_prefixes);
+  EXPECT_EQ(a.flow_records, b.flow_records);
+  EXPECT_EQ(a.sampled_packets, b.sampled_packets);
+  EXPECT_EQ(a.sampled_bytes, b.sampled_bytes);
+  EXPECT_EQ(a.dropped_packets, b.dropped_packets);
+  EXPECT_EQ(a.dropped_bytes, b.dropped_bytes);
+}
 
 class DatasetTest : public ::testing::Test {
  protected:
@@ -37,7 +88,29 @@ class DatasetTest : public ::testing::Test {
     macs_acceptor_ = world.platform->member(world.acceptor).port_mac;
   }
 
+  void TearDown() override {
+    if (!chunked_path_.empty()) std::remove(chunked_path_.c_str());
+  }
+
+  /// Save the corpus as a v3 store with 16-row chunks (so the victim's
+  /// host run straddles chunk boundaries) and reopen it out-of-core.
+  void open_chunked() {
+    chunked_path_ = testing::TempDir() + "/bw_dataset_chunked." +
+                    std::to_string(::getpid()) + ".bwds";
+    ::setenv("BW_STORE_CHUNK_ROWS", "16", 1);
+    const util::Status saved = dataset_->try_save(chunked_path_);
+    ::unsetenv("BW_STORE_CHUNK_ROWS");
+    ASSERT_TRUE(saved.ok()) << saved.to_string();
+    auto opened = Dataset::try_open_chunked(chunked_path_);
+    ASSERT_TRUE(opened.ok()) << opened.status().to_string();
+    chunked_ = std::make_unique<Dataset>(std::move(*opened));
+    ASSERT_TRUE(chunked_->chunked());
+    ASSERT_GT(chunked_->store()->chunk_count(), 2u);
+  }
+
   std::unique_ptr<Dataset> dataset_;
+  std::unique_ptr<Dataset> chunked_;
+  std::string chunked_path_;
   net::Mac macs_acceptor_;
 };
 
@@ -59,22 +132,39 @@ TEST_F(DatasetTest, RsIndexRebuiltFromControl) {
 }
 
 TEST_F(DatasetTest, FlowsToFiltersPrefixAndRange) {
-  const auto all = dataset_->flows_to(net::Ipv4(24, 0, 0, 1));
-  EXPECT_EQ(all.size(), 150u);
-  const auto during = dataset_->flows_to(
-      net::Prefix::host(net::Ipv4(24, 0, 0, 1)), {util::kHour, 2 * util::kHour});
-  EXPECT_EQ(during.size(), 100u);
-  const auto none = dataset_->flows_to(
-      net::Prefix::host(net::Ipv4(24, 0, 0, 99)), dataset_->period());
-  EXPECT_TRUE(none.empty());
+  ASSERT_NO_FATAL_FAILURE(open_chunked());
+  const net::Prefix victim = net::Prefix::host(net::Ipv4(24, 0, 0, 1));
+  const struct {
+    net::Prefix prefix;
+    util::TimeRange range;
+    std::size_t rows;
+  } cases[] = {
+      {victim, dataset_->period(), 150u},
+      {victim, {util::kHour, 2 * util::kHour}, 100u},
+      {*net::Prefix::parse("24.0.0.0/24"), dataset_->period(), 150u},
+      {*net::Prefix::parse("24.0.0.0/24"), {0, util::kHour}, 50u},
+      {net::Prefix::host(net::Ipv4(24, 0, 0, 99)), dataset_->period(), 0u},
+  };
+  for (const auto& c : cases) {
+    const Scan oracle = naive_scan(dataset_->flows(), c.prefix, c.range);
+    EXPECT_EQ(oracle.rows, c.rows) << c.prefix.to_string();
+    for (const Dataset* ds : {dataset_.get(), chunked_.get()}) {
+      const Scan got = view_scan(*ds, c.prefix, c.range);
+      const char* mode = ds->chunked() ? "chunked" : "in RAM";
+      EXPECT_EQ(got.rows, oracle.rows) << c.prefix.to_string() << " " << mode;
+      EXPECT_EQ(got.packets, oracle.packets) << mode;
+      EXPECT_TRUE(got.all_inside) << mode;
+    }
+  }
 }
 
 TEST_F(DatasetTest, HostScanHonorsTimeSubrangeBoundaries) {
   // Host (/32) runs are time-sorted, so the scan binary-searches the time
   // window instead of filtering per record; boundary behaviour must stay
-  // exactly half-open [begin, end).
-  const net::Ipv4 victim(24, 0, 0, 1);
-  const net::Prefix host = net::Prefix::host(victim);
+  // exactly half-open [begin, end) — in RAM and across chunk boundaries
+  // of the out-of-core store.
+  ASSERT_NO_FATAL_FAILURE(open_chunked());
+  const net::Prefix host = net::Prefix::host(net::Ipv4(24, 0, 0, 1));
   const util::TimeRange windows[] = {
       {0, util::kHour},
       {util::kHour, 2 * util::kHour},
@@ -83,25 +173,26 @@ TEST_F(DatasetTest, HostScanHonorsTimeSubrangeBoundaries) {
       {util::kHour, util::kHour + 1},
       {-util::kHour, 4 * util::kHour},  // wider than the data
   };
-  for (const auto& range : windows) {
-    std::size_t scanned = 0;
-    std::uint64_t packets = 0;
-    dataset_->for_each_flow_to(host, range, [&](const flow::FlowRecord& rec) {
-      EXPECT_TRUE(range.contains(rec.time));
-      ++scanned;
-      packets += rec.packets;
-    });
-    std::size_t expected = 0;
-    std::uint64_t expected_packets = 0;
-    for (const auto& rec : dataset_->flows()) {
-      if (rec.dst_ip == victim && range.contains(rec.time)) {
-        ++expected;
-        expected_packets += rec.packets;
-      }
+  // Plus windows that begin or end exactly on each record's timestamp, so
+  // every chunk's first and last row sits on some window boundary.
+  std::vector<util::TimeRange> ranges(std::begin(windows), std::end(windows));
+  const auto& flows = dataset_->flows();
+  for (const auto& rec : flows) {
+    const util::TimeMs t = rec.time;
+    ranges.push_back({t, t + util::kMinute});
+    ranges.push_back({t - util::kMinute, t});
+    ranges.push_back({t, t});
+  }
+  for (const auto& range : ranges) {
+    const Scan oracle = naive_scan(flows, host, range);
+    for (const Dataset* ds : {dataset_.get(), chunked_.get()}) {
+      const Scan got = view_scan(*ds, host, range);
+      const char* mode = ds->chunked() ? "chunked" : "in RAM";
+      EXPECT_EQ(got.rows, oracle.rows)
+          << "[" << range.begin << ", " << range.end << ") " << mode;
+      EXPECT_EQ(got.packets, oracle.packets) << mode;
+      EXPECT_TRUE(got.all_inside) << mode;
     }
-    EXPECT_EQ(scanned, expected)
-        << "[" << range.begin << ", " << range.end << ")";
-    EXPECT_EQ(packets, expected_packets);
   }
 }
 
@@ -127,26 +218,27 @@ TEST_F(DatasetTest, ColumnsMirrorDestinationOrder) {
   EXPECT_EQ(dropped_rows, dropped_records);
 }
 
-TEST_F(DatasetTest, SummaryEnginesAgree) {
-  const auto columnar = dataset_->summary(nullptr, KernelEngine::kColumnar);
-  const auto records = dataset_->summary(nullptr, KernelEngine::kRecords);
-  EXPECT_EQ(columnar.control_updates, records.control_updates);
-  EXPECT_EQ(columnar.blackhole_updates, records.blackhole_updates);
-  EXPECT_EQ(columnar.blackholed_prefixes, records.blackholed_prefixes);
-  EXPECT_EQ(columnar.flow_records, records.flow_records);
-  EXPECT_EQ(columnar.sampled_packets, records.sampled_packets);
-  EXPECT_EQ(columnar.sampled_bytes, records.sampled_bytes);
-  EXPECT_EQ(columnar.dropped_packets, records.dropped_packets);
-  EXPECT_EQ(columnar.dropped_bytes, records.dropped_bytes);
+TEST_F(DatasetTest, SummaryMatchesNaiveSumOverFlows) {
+  Dataset::Summary naive;
+  naive.control_updates = dataset_->control().size();
+  naive.blackhole_updates = dataset_->blackhole_updates().size();
+  naive.blackholed_prefixes = dataset_->rs_index().prefix_count();
+  naive.flow_records = dataset_->flows().size();
+  for (const auto& rec : dataset_->flows()) {
+    naive.sampled_packets += rec.packets;
+    naive.sampled_bytes += rec.bytes;
+    if (rec.dropped()) {
+      naive.dropped_packets += rec.packets;
+      naive.dropped_bytes += rec.bytes;
+    }
+  }
+  ASSERT_GT(naive.dropped_bytes, 0u);
+  expect_same_summary(dataset_->summary(), naive);
 }
 
-TEST_F(DatasetTest, FlowsFromSourcePrefix) {
-  const auto from = dataset_->flows_from(*net::Prefix::parse("64.0.0.0/16"),
-                                         dataset_->period());
-  EXPECT_EQ(from.size(), 150u);
-  const auto one = dataset_->flows_from(
-      net::Prefix::host(net::Ipv4(64, 0, 0, 2)), dataset_->period());
-  EXPECT_EQ(one.size(), 50u);
+TEST_F(DatasetTest, ChunkedSummaryMatchesInRam) {
+  ASSERT_NO_FATAL_FAILURE(open_chunked());
+  expect_same_summary(chunked_->summary(), dataset_->summary());
 }
 
 TEST_F(DatasetTest, Attribution) {

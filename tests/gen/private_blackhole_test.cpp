@@ -3,8 +3,12 @@
 // data-plane drops with no route-server footprint.
 #include <gtest/gtest.h>
 
-#include <unordered_set>
+#include <unistd.h>
 
+#include <cstdio>
+#include <string>
+
+#include "core/flow_view.hpp"
 #include "core/pipeline.hpp"
 #include "gen/scenario.hpp"
 
@@ -52,25 +56,47 @@ TEST(PrivateBlackholeTest, PrivateOnlyDropsAppearOnDataPlane) {
   cfg.private_only_fraction = 0.25;
   const core::ScenarioRun run = core::run_scenario(cfg, std::string{});
 
-  // Find a private-only victim and check for unexplained drops.
-  std::size_t victims_with_drops = 0;
-  std::size_t checked = 0;
-  for (const auto& ev : run.truth.events) {
-    if (!ev.private_only || checked >= 20) continue;
-    ++checked;
-    std::uint64_t dropped = 0;
-    for (const std::size_t idx :
-         run.dataset.flows_to(ev.prefix, ev.rtbh_span)) {
-      const auto& rec = run.dataset.flows()[idx];
-      if (!rec.dropped()) continue;
-      ++dropped;
-      // No route-server blackhole explains this drop.
-      EXPECT_FALSE(
-          run.dataset.rs_index().announced_at(rec.dst_ip, rec.time + 40));
+  // The same check in RAM and out-of-core.
+  const std::string path = ::testing::TempDir() + "/bw_private_blackhole." +
+                           std::to_string(::getpid()) + ".bwds";
+  ASSERT_TRUE(run.dataset.try_save(path).ok());
+  auto chunked = core::Dataset::try_open_chunked(path);
+  ASSERT_TRUE(chunked.ok()) << chunked.status().to_string();
+
+  const core::Dataset* const modes[] = {&run.dataset, &*chunked};
+  for (const core::Dataset* ds : modes) {
+    const char* mode = ds->chunked() ? "chunked" : "in RAM";
+    // Find private-only victims and check for unexplained drops.
+    std::size_t victims_with_drops = 0;
+    std::size_t checked = 0;
+    for (const auto& ev : run.truth.events) {
+      if (!ev.private_only || checked >= 20) continue;
+      ++checked;
+      std::uint64_t dropped = 0;
+      ds->view().for_each_dst_row(
+          ev.prefix, ev.rtbh_span,
+          [&](const flow::FlowColumns& c, std::size_t i) {
+            if (!c.dropped(i)) return;
+            ++dropped;
+            // No route-server blackhole explains this drop.
+            EXPECT_FALSE(ds->rs_index().announced_at(net::Ipv4(c.dst_ip[i]),
+                                                     c.time[i] + 40))
+                << mode;
+          });
+      // Oracle: a plain loop over the materialized records.
+      std::uint64_t expected = 0;
+      for (const auto& rec : run.dataset.flows()) {
+        if (ev.prefix.contains(rec.dst_ip) && ev.rtbh_span.contains(rec.time) &&
+            rec.dropped()) {
+          ++expected;
+        }
+      }
+      EXPECT_EQ(dropped, expected) << mode;
+      if (dropped > 0) ++victims_with_drops;
     }
-    if (dropped > 0) ++victims_with_drops;
+    EXPECT_GT(victims_with_drops, checked / 2) << mode;
   }
-  EXPECT_GT(victims_with_drops, checked / 2);
+  std::remove(path.c_str());
 }
 
 TEST(PrivateBlackholeTest, StockPeersNeverSeePrivateDrops) {
