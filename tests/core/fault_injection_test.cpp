@@ -79,9 +79,12 @@ class FaultInjectionTest : public ::testing::Test {
 
   /// Apply `plan` to a copy of the clean corpus; returns the faulty dir.
   static std::string corrupt(const bt::FaultPlan& plan, bt::FaultLog* log) {
+    // Per-process name: ctest -j runs each case as its own process, and
+    // every one of them starts the counter at 0.
     static int counter = 0;
-    const std::string dir =
-        ::testing::TempDir() + "/bw_faulty_" + std::to_string(counter++);
+    const std::string dir = ::testing::TempDir() + "/bw_faulty_" +
+                            std::to_string(::getpid()) + "_" +
+                            std::to_string(counter++);
     std::filesystem::remove_all(dir);
     auto corpus = bt::CsvCorpus::load(*clean_dir_);
     EXPECT_TRUE(corpus.ok()) << corpus.status().to_string();
