@@ -4,7 +4,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <stdexcept>
 #include <unordered_set>
 
 #include "core/engine.hpp"
@@ -651,28 +650,7 @@ util::Status Dataset::try_save_v2(const std::string& path) const {
   }
   return util::atomic_write_file(path, [&](std::ostream& os) -> util::Status {
     util::container::Writer w(os);
-    w.begin_section(kSecPeriod);
-    put(w, period_.begin);
-    put(w, period_.end);
-    w.end_section();
-
-    w.begin_section(kSecControl);
-    put_u64(w, control_.size());
-    for (const auto& u : control_) {
-      put(w, u.time);
-      put(w, static_cast<std::uint8_t>(u.type));
-      put(w, u.sender_asn);
-      put(w, u.origin_asn);
-      put(w, u.prefix.network().value());
-      put(w, u.prefix.length());
-      put(w, u.next_hop.value());
-      put_u64(w, u.communities.size());
-      for (const auto& c : u.communities) {
-        put(w, c.global);
-        put(w, c.local);
-      }
-    }
-    w.end_section();
+    write_table_sections(w, period_, control_, mac_to_asn_, origin_prefixes_);
 
     w.begin_section(kSecFlows);
     put_u64(w, data_.size());
@@ -693,32 +671,8 @@ util::Status Dataset::try_save_v2(const std::string& path) const {
                              });
     w.end_section();
 
-    w.begin_section(kSecMacs);
-    put_u64(w, mac_to_asn_.size());
-    put_span<DiskMacEntry>(w, mac_to_asn_.begin(), mac_to_asn_.end(),
-                           [](const auto& entry) {
-                             return DiskMacEntry{entry.first.value(),
-                                                 entry.second};
-                           });
-    w.end_section();
-
-    w.begin_section(kSecOrigins);
-    put_u64(w, origin_prefixes_.size());
-    put_span<DiskOriginEntry>(w, origin_prefixes_.begin(),
-                              origin_prefixes_.end(), [](const auto& entry) {
-                                return DiskOriginEntry{
-                                    entry.first.network().value(),
-                                    entry.first.length(), entry.second};
-                              });
-    w.end_section();
-
     return w.finish().with_context("Dataset::try_save_v2: " + path);
   });
-}
-
-void Dataset::save(const std::string& path) const {
-  const util::Status st = try_save(path);
-  if (!st.ok()) throw std::runtime_error(st.to_string());
 }
 
 namespace {
@@ -826,7 +780,7 @@ util::Status read_table_sections(std::ifstream& is,
   out.origins.reserve(n_origins);
   get_span<DiskOriginEntry>(is, n_origins, [&](const DiskOriginEntry& d) {
     out.origins.emplace_back(net::Prefix(net::Ipv4(d.network), d.length),
-                             d.asn);
+                             bgp::Asn{d.asn});
   });
   if (!is) return util::data_loss("truncated file");
   return util::ok_status();
@@ -841,32 +795,65 @@ util::Status v2_needs_convert(const char* op) {
       "(bw-convert <v2 file> --out <v3 file>)");
 }
 
+/// Frame a loader error with the entry point and file it came from.
+util::Status in_file(util::Status st, const char* op, const std::string& path) {
+  return std::move(st).with_context(std::string(op) + ": " + path);
+}
+
+/// An open container whose control-plane tables are already decoded; `is`
+/// is left open for the entry point's flow sections.
+struct OpenedContainer {
+  std::ifstream is;
+  util::container::Toc toc;
+  LoadedTables tables;
+};
+
+/// The front half every loader shares: open `path`, read its TOC, refuse
+/// any container version but `version` (the TOC reader accepts only v2 and
+/// v3) and decode PERI/CTRL/MACS/ORIG. Errors carry "<op>: <path>" context.
+util::Result<OpenedContainer> open_container(const std::string& path,
+                                             const char* op,
+                                             std::uint32_t version) {
+  OpenedContainer c;
+  c.is.open(path, std::ios::binary);
+  if (!c.is) return util::not_found(std::string(op) + ": cannot open " + path);
+  c.is.seekg(0, std::ios::end);
+  const auto file_size = static_cast<std::uint64_t>(c.is.tellg());
+
+  auto toc = util::container::read_toc(c.is, file_size);
+  if (!toc.ok()) return in_file(toc.status(), op, path);
+  c.toc = std::move(toc).value();
+  if (c.toc.version != version) {
+    return in_file(
+        version == util::container::kVersionV3
+            ? v2_needs_convert(op)
+            : util::failed_precondition(
+                  "not a v2 file (version " + std::to_string(c.toc.version) +
+                  "); this entry point reads only the legacy single-FLOW "
+                  "layout"),
+        op, path);
+  }
+
+  if (util::Status st = read_table_sections(c.is, c.toc, c.tables); !st.ok()) {
+    return in_file(std::move(st), op, path);
+  }
+  return c;
+}
+
 }  // namespace
 
 util::Result<Dataset> Dataset::try_load(const std::string& path) {
+  static constexpr const char* kOp = "Dataset::try_load";
   const obs::TraceSpan span("dataset.try_load", "io");
   const obs::StopWatch wall;
   util::Result<Dataset> result = [&]() -> util::Result<Dataset> {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) return util::not_found("Dataset::try_load: cannot open " + path);
-    is.seekg(0, std::ios::end);
-    const auto file_size = static_cast<std::uint64_t>(is.tellg());
-
+    auto opened = open_container(path, kOp, util::container::kVersionV3);
+    if (!opened.ok()) return opened.status();
+    auto& [is, toc, tables] = *opened;
     auto ctx = [&](util::Status st) {
-      return std::move(st).with_context("Dataset::try_load: " + path);
+      return in_file(std::move(st), kOp, path);
     };
 
-    auto toc_result = util::container::read_toc(is, file_size);
-    if (!toc_result.ok()) return ctx(toc_result.status());
-    const util::container::Toc& toc = *toc_result;
-    if (toc.version == util::container::kVersion) {
-      return ctx(v2_needs_convert("Dataset::try_load"));
-    }
-
-    LoadedTables tables;
-    if (util::Status st = read_table_sections(is, toc, tables); !st.ok()) {
-      return ctx(std::move(st));
-    }
     // The src-projection chunks are never materialized here (the dst
     // scatter below already rebuilds every flow), so stream-verify their
     // CRCs explicitly: a full load must reject corruption anywhere in the
@@ -917,28 +904,13 @@ util::Result<Dataset> Dataset::try_load(const std::string& path) {
 }
 
 util::Result<Dataset> Dataset::try_load_v2(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return util::not_found("Dataset::try_load_v2: cannot open " + path);
-  is.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(is.tellg());
-
+  static constexpr const char* kOp = "Dataset::try_load_v2";
+  auto opened = open_container(path, kOp, util::container::kVersion);
+  if (!opened.ok()) return opened.status();
+  auto& [is, toc, tables] = *opened;
   auto ctx = [&](util::Status st) {
-    return std::move(st).with_context("Dataset::try_load_v2: " + path);
+    return in_file(std::move(st), kOp, path);
   };
-
-  auto toc_result = util::container::read_toc(is, file_size);
-  if (!toc_result.ok()) return ctx(toc_result.status());
-  const util::container::Toc& toc = *toc_result;
-  if (toc.version != util::container::kVersion) {
-    return ctx(util::failed_precondition(
-        "not a v2 file (version " + std::to_string(toc.version) +
-        "); this entry point reads only the legacy single-FLOW layout"));
-  }
-
-  LoadedTables tables;
-  if (util::Status st = read_table_sections(is, toc, tables); !st.ok()) {
-    return ctx(std::move(st));
-  }
 
   // --- FLOW: the legacy AoS record table -----------------------------------
   auto flow_sec = open_section(is, toc, kSecFlows);
@@ -973,35 +945,17 @@ util::Result<Dataset> Dataset::try_load_v2(const std::string& path) {
 }
 
 util::Result<Dataset> Dataset::try_open_chunked(const std::string& path) {
+  static constexpr const char* kOp = "Dataset::try_open_chunked";
   const obs::TraceSpan span("dataset.try_open_chunked", "io");
   const obs::StopWatch wall;
   util::Result<Dataset> result = [&]() -> util::Result<Dataset> {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-      return util::not_found("Dataset::try_open_chunked: cannot open " + path);
-    }
-    is.seekg(0, std::ios::end);
-    const auto file_size = static_cast<std::uint64_t>(is.tellg());
-
-    auto ctx = [&](util::Status st) {
-      return std::move(st).with_context("Dataset::try_open_chunked: " + path);
-    };
-
-    auto toc_result = util::container::read_toc(is, file_size);
-    if (!toc_result.ok()) return ctx(toc_result.status());
-    const util::container::Toc& toc = *toc_result;
-    if (toc.version == util::container::kVersion) {
-      return ctx(v2_needs_convert("Dataset::try_open_chunked"));
-    }
-
-    LoadedTables tables;
-    if (util::Status st = read_table_sections(is, toc, tables); !st.ok()) {
-      return ctx(std::move(st));
-    }
-    is.close();
+    auto opened = open_container(path, kOp, util::container::kVersionV3);
+    if (!opened.ok()) return opened.status();
+    LoadedTables& tables = opened->tables;
+    opened->is.close();
 
     auto store_result = store::FlowStore::open(path);
-    if (!store_result.ok()) return ctx(store_result.status());
+    if (!store_result.ok()) return in_file(store_result.status(), kOp, path);
 
     // Shell construction: control-plane state and indices as usual, flows
     // left on disk behind the pruned chunk reader. data_/columns_/by_*_
@@ -1022,12 +976,6 @@ util::Result<Dataset> Dataset::try_open_chunked(const std::string& path) {
   }();
   record_io(io_metrics("load"), result.ok(), wall);
   return result;
-}
-
-Dataset Dataset::load(const std::string& path) {
-  auto result = try_load(path);
-  if (!result.ok()) throw std::runtime_error(result.status().to_string());
-  return std::move(result).value();
 }
 
 }  // namespace bw::core

@@ -173,16 +173,12 @@ class Dataset {
   [[nodiscard]] static util::Result<Dataset> try_open_chunked(
       const std::string& path);
 
-  /// Legacy v2 (single AoS FLOW section) reader/writer. The reader backs
-  /// tools/bw-convert's migration path; the writer exists so tests and the
-  /// converter round-trip can still fabricate v2 inputs.
+  /// Legacy v2 (single AoS FLOW section) reader, backing tools/bw-convert's
+  /// migration path; it refuses anything but a v2 file.
   [[nodiscard]] static util::Result<Dataset> try_load_v2(
       const std::string& path);
+  /// v2 writer, kept only so tests can fabricate v2 inputs for the reader.
   [[nodiscard]] util::Status try_save_v2(const std::string& path) const;
-
-  /// Legacy wrappers; throw std::runtime_error on failure.
-  void save(const std::string& path) const;
-  static Dataset load(const std::string& path);
 
   // --- summary ---
   struct Summary {

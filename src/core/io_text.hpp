@@ -27,7 +27,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <optional>
 #include <string>
 
 #include "core/dataset.hpp"
@@ -66,14 +65,6 @@ read_origins_csv(std::istream& is, const LoadOptions& options,
 /// a malformed period is an error at every strictness level.
 [[nodiscard]] util::Result<util::TimeRange> read_period_csv(std::istream& is);
 
-// --- legacy wrappers (strict mode; nullopt on any malformed row) ---
-[[nodiscard]] std::optional<bgp::UpdateLog> read_control_csv(std::istream& is);
-[[nodiscard]] std::optional<flow::FlowLog> read_flows_csv(std::istream& is);
-[[nodiscard]] std::optional<std::unordered_map<net::Mac, bgp::Asn>>
-read_macs_csv(std::istream& is);
-[[nodiscard]] std::optional<std::vector<std::pair<net::Prefix, bgp::Asn>>>
-read_origins_csv(std::istream& is);
-
 /// Load a dataset from a directory written by export_dataset_csv. Under
 /// kSkip/kRepair the Dataset is built with quarantine enabled (exact
 /// duplicate flows deduplicated, out-of-period records dropped) and the
@@ -81,9 +72,5 @@ read_origins_csv(std::istream& is);
 [[nodiscard]] util::Result<Dataset> load_dataset_csv(
     const std::string& directory, const LoadOptions& options = {},
     IngestReport* report = nullptr);
-
-/// Legacy wrapper: strict load_dataset_csv; throws std::runtime_error on
-/// missing files or malformed content.
-[[nodiscard]] Dataset import_dataset_csv(const std::string& directory);
 
 }  // namespace bw::core

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <random>
 #include <span>
 #include <vector>
@@ -59,11 +60,14 @@ class Rng {
   std::int64_t binomial(std::int64_t n, double p) {
     if (n <= 0 || p <= 0.0) return 0;
     if (p >= 1.0) return n;
+    const double p12 = p <= 0.5 ? p : 1.0 - p;
+    const auto lock = lgamma_lock(static_cast<double>(n) * p12 >= 8);
     return std::binomial_distribution<std::int64_t>(n, p)(engine_);
   }
 
   std::int64_t poisson(double mean) {
     if (mean <= 0.0) return 0;
+    const auto lock = lgamma_lock(mean >= 12);
     return std::poisson_distribution<std::int64_t>(mean)(engine_);
   }
 
@@ -102,6 +106,20 @@ class Rng {
   std::mt19937_64& engine() noexcept { return engine_; }
 
  private:
+  /// libstdc++'s binomial and poisson distributions call std::lgamma, which
+  /// writes libm's process-wide `signgam`, and generator shard threads draw
+  /// from them concurrently. Those draws hold one process-wide lock, taken
+  /// only where libstdc++ switches to its lgamma-based rejection samplers
+  /// (binomial n*min(p,1-p) >= 8, poisson mean >= 12): the cheap small-mean
+  /// draws that dominate sampling stay uncontended. The lock orders only the
+  /// signgam writes; each Rng's engine is its own, so every drawn value is
+  /// the same as without it.
+  [[nodiscard]] static std::unique_lock<std::mutex> lgamma_lock(bool needed) {
+    static std::mutex mutex;
+    return needed ? std::unique_lock<std::mutex>(mutex)
+                  : std::unique_lock<std::mutex>();
+  }
+
   std::mt19937_64 engine_;
   std::uint64_t seed_;
 };

@@ -13,8 +13,8 @@
 //   - Functions that cannot fail keep plain return types.
 //   - Fallible leaf parsers return Result<T>; Status-only paths return
 //     Status. Callers add context with with_context() before forwarding.
-//   - Exceptions remain for programming errors and for legacy wrappers
-//     (e.g. Dataset::load) that existing callers expect to throw.
+//   - Exceptions remain for programming errors and for writers with no
+//     partial result to report (e.g. export_dataset_csv).
 #pragma once
 
 #include <optional>

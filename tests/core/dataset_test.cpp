@@ -250,9 +250,11 @@ TEST_F(DatasetTest, Attribution) {
 
 TEST_F(DatasetTest, SaveLoadRoundTrip) {
   const std::string path = testing::TempDir() + "/bw_dataset_rt.bwds";
-  dataset_->save(path);
-  const Dataset loaded = Dataset::load(path);
+  ASSERT_TRUE(dataset_->try_save(path).ok());
+  auto result = Dataset::try_load(path);
   std::remove(path.c_str());
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  const Dataset& loaded = *result;
 
   EXPECT_EQ(loaded.control().size(), dataset_->control().size());
   ASSERT_EQ(loaded.flows().size(), dataset_->flows().size());
@@ -285,10 +287,21 @@ TEST_F(DatasetTest, LoadRejectsGarbage) {
     std::ofstream os(path, std::ios::binary);
     os << "not a dataset";
   }
-  EXPECT_THROW((void)Dataset::load(path), std::runtime_error);
+  const auto garbage = Dataset::try_load(path);
   std::remove(path.c_str());
-  EXPECT_THROW((void)Dataset::load("/nonexistent/nope.bwds"),
-               std::runtime_error);
+  ASSERT_FALSE(garbage.ok());
+  EXPECT_EQ(garbage.status().code(), util::StatusCode::kDataLoss);
+  EXPECT_NE(garbage.status().message().find("Dataset::try_load: " + path),
+            std::string::npos)
+      << garbage.status().message();
+
+  const auto missing = Dataset::try_load("/nonexistent/nope.bwds");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), util::StatusCode::kNotFound);
+  EXPECT_NE(missing.status().message().find(
+                "Dataset::try_load: cannot open /nonexistent/nope.bwds"),
+            std::string::npos)
+      << missing.status().message();
 }
 
 }  // namespace

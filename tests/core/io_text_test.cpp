@@ -36,8 +36,8 @@ TEST(IoTextTest, ControlRoundTrip) {
   const Dataset ds = small_dataset();
   std::stringstream ss;
   write_control_csv(ss, ds.control());
-  const auto parsed = read_control_csv(ss);
-  ASSERT_TRUE(parsed);
+  const auto parsed = read_control_csv(ss, LoadOptions{});
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
   ASSERT_EQ(parsed->size(), ds.control().size());
   for (std::size_t i = 0; i < parsed->size(); ++i) {
     const auto& a = (*parsed)[i];
@@ -56,8 +56,8 @@ TEST(IoTextTest, FlowsRoundTrip) {
   const Dataset ds = small_dataset();
   std::stringstream ss;
   write_flows_csv(ss, ds.flows());
-  const auto parsed = read_flows_csv(ss);
-  ASSERT_TRUE(parsed);
+  const auto parsed = read_flows_csv(ss, LoadOptions{});
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
   ASSERT_EQ(parsed->size(), ds.flows().size());
   for (std::size_t i = 0; i < parsed->size(); ++i) {
     const auto& a = (*parsed)[i];
@@ -75,33 +75,51 @@ TEST(IoTextTest, FlowsRoundTrip) {
   }
 }
 
+/// A strict read refused the row on line 2 (the one after the header) with
+/// `code`, and the message names `file` and that line.
+template <typename T>
+void expect_rejected(const util::Result<T>& r, util::StatusCode code,
+                     const std::string& file) {
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), code) << r.status().message();
+  EXPECT_NE(r.status().message().find(file + ": line 2: "), std::string::npos)
+      << r.status().message();
+}
+
 TEST(IoTextTest, MalformedRowsRejected) {
+  const LoadOptions strict;
   {
     std::stringstream ss("time_ms,type,...\n123,X,1,2,10.0.0.1/32,1.2.3.4,\n");
-    EXPECT_FALSE(read_control_csv(ss));
+    expect_rejected(read_control_csv(ss, strict),
+                    util::StatusCode::kInvalidArgument, "control.csv");
   }
   {
     std::stringstream ss("header\nnot,enough,fields\n");
-    EXPECT_FALSE(read_control_csv(ss));
+    expect_rejected(read_control_csv(ss, strict),
+                    util::StatusCode::kDataLoss, "control.csv");
   }
   {
     std::stringstream ss("header\n1,2,3\n");
-    EXPECT_FALSE(read_flows_csv(ss));
+    expect_rejected(read_flows_csv(ss, strict), util::StatusCode::kDataLoss,
+                    "flows.csv");
   }
   {
     std::stringstream ss("header\nzz:zz:zz:zz:zz:zz,abc\n");
-    EXPECT_FALSE(read_macs_csv(ss));
+    expect_rejected(read_macs_csv(ss, strict),
+                    util::StatusCode::kInvalidArgument, "macs.csv");
   }
   {
     std::stringstream ss("header\n10.0.0.0/99,1\n");
-    EXPECT_FALSE(read_origins_csv(ss));
+    expect_rejected(read_origins_csv(ss, strict),
+                    util::StatusCode::kInvalidArgument, "origins.csv");
   }
 }
 
 TEST(IoTextTest, EmptyBodiesAreValid) {
   std::stringstream control("header\n");
-  ASSERT_TRUE(read_control_csv(control));
-  EXPECT_TRUE(read_control_csv(control)->empty());
+  const auto parsed = read_control_csv(control, LoadOptions{});
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  EXPECT_TRUE(parsed->empty());
 }
 
 TEST(IoTextTest, DirectoryExportImportRoundTrip) {
@@ -113,7 +131,9 @@ TEST(IoTextTest, DirectoryExportImportRoundTrip) {
        {"control.csv", "flows.csv", "macs.csv", "origins.csv", "period.csv"}) {
     EXPECT_TRUE(std::filesystem::exists(dir + "/" + name)) << name;
   }
-  const Dataset loaded = import_dataset_csv(dir);
+  auto result = load_dataset_csv(dir);
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  const Dataset& loaded = *result;
   EXPECT_EQ(loaded.control().size(), ds.control().size());
   EXPECT_EQ(loaded.flows().size(), ds.flows().size());
   EXPECT_EQ(loaded.period(), ds.period());
@@ -128,9 +148,15 @@ TEST(IoTextTest, DirectoryExportImportRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(IoTextTest, ImportMissingDirectoryThrows) {
-  EXPECT_THROW((void)import_dataset_csv("/nonexistent-bw-dir"),
-               std::runtime_error);
+TEST(IoTextTest, LoadMissingDirectoryIsNotFound) {
+  const auto r = load_dataset_csv("/nonexistent-bw-dir");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), util::StatusCode::kNotFound);
+  EXPECT_NE(r.status().message().find(
+                "load_dataset_csv: /nonexistent-bw-dir: cannot open "
+                "/nonexistent-bw-dir/control.csv"),
+            std::string::npos)
+      << r.status().message();
 }
 
 // --- streaming readers: CRLF, strictness, per-file accounting ---
@@ -147,15 +173,15 @@ std::string flow_row(std::int64_t time) {
 
 TEST(IoTextTest, CrlfTerminatedLinesParse) {
   std::stringstream macs("mac,asn\r\naa:bb:cc:00:00:01,42\r\n");
-  const auto parsed_macs = read_macs_csv(macs);
-  ASSERT_TRUE(parsed_macs);
+  const auto parsed_macs = read_macs_csv(macs, LoadOptions{});
+  ASSERT_TRUE(parsed_macs.ok()) << parsed_macs.status().to_string();
   ASSERT_EQ(parsed_macs->size(), 1u);
   EXPECT_EQ(parsed_macs->begin()->second, 42u);
 
   std::stringstream flows(std::string(kFlowsHeader) + "\r\n" + flow_row(100) +
                           "\r\n");
-  const auto parsed_flows = read_flows_csv(flows);
-  ASSERT_TRUE(parsed_flows);
+  const auto parsed_flows = read_flows_csv(flows, LoadOptions{});
+  ASSERT_TRUE(parsed_flows.ok()) << parsed_flows.status().to_string();
   ASSERT_EQ(parsed_flows->size(), 1u);
   EXPECT_EQ((*parsed_flows)[0].time, 100);
   EXPECT_EQ((*parsed_flows)[0].bytes, 1500);

@@ -141,6 +141,19 @@ TEST_F(StoreFaultTest, V2FileIsRefusedNamingTheConverter) {
   EXPECT_TRUE(core::Dataset::try_load_v2(v2_path).ok());
 }
 
+TEST_F(StoreFaultTest, V3FileIsRefusedByTheV2Reader) {
+  // The v2 reader shares the container-open path with the v3 loaders; only
+  // the version check differs, and it must fail the other way round.
+  const auto legacy = core::Dataset::try_load_v2(clean_path_);
+  ASSERT_FALSE(legacy.ok());
+  EXPECT_EQ(legacy.status().code(), util::StatusCode::kFailedPrecondition);
+  const std::string msg = legacy.status().to_string();
+  EXPECT_NE(msg.find("Dataset::try_load_v2: " + clean_path_),
+            std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("not a v2 file (version 3)"), std::string::npos) << msg;
+}
+
 TEST_F(StoreFaultTest, ChunkedDatasetScansSurviveCorruptionViaStatus) {
   const std::string path = corrupt_copy(find_section(kSecChunk));
   auto ds = core::Dataset::try_open_chunked(path);

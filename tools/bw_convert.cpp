@@ -1,8 +1,7 @@
 // bw-convert: migrate .bwds corpora between container versions.
 //
-//   bw-convert IN.bwds --out OUT.bwds      migrate (v2 or v3) -> v3
-//   bw-convert IN.bwds --out-v2 OUT.bwds   downgrade -> legacy v2 (testing)
-//   bw-convert IN.bwds --csv DIR           export the corpus as CSV files
+//   bw-convert IN.bwds --out OUT.bwds   migrate (v2 or v3) -> v3
+//   bw-convert IN.bwds --csv DIR        export the corpus as CSV files
 //
 // The input version is sniffed from the container header: legacy v2 files
 // (single AoS FLOW section) go through the retained v2 reader, v3 files
@@ -13,7 +12,6 @@
 // Exit codes: 0 ok, 2 usage, 3 data error, 4 internal (see tools/cli.hpp).
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include "cli.hpp"
@@ -25,14 +23,11 @@
 namespace {
 
 void usage() {
-  std::cerr << "usage: bw-convert IN.bwds (--out OUT.bwds | --out-v2 OUT.bwds "
-               "| --csv DIR)\n"
-               "  --out OUT.bwds    write the chunked v3 format (the format\n"
-               "                    bw-analyze reads, in-RAM or --out-of-core)\n"
-               "  --out-v2 OUT.bwds write the legacy v2 format (round-trip\n"
-               "                    testing)\n"
-               "  --csv DIR         export control/flows/macs/origins/period\n"
-               "                    CSV files under DIR\n"
+  std::cerr << "usage: bw-convert IN.bwds (--out OUT.bwds | --csv DIR)\n"
+               "  --out OUT.bwds  write the chunked v3 format (the format\n"
+               "                  bw-analyze reads, in-RAM or --out-of-core)\n"
+               "  --csv DIR       export control/flows/macs/origins/period\n"
+               "                  CSV files under DIR\n"
             << bw::tools::kObsUsage;
 }
 
@@ -57,7 +52,6 @@ int main(int argc, char** argv) {
   using namespace bw;
   std::string in_path;
   std::string out_v3;
-  std::string out_v2;
   std::string out_csv;
   tools::ObsOptions obs_options;
 
@@ -67,8 +61,6 @@ int main(int argc, char** argv) {
       continue;
     } else if (arg == "--out" && i + 1 < argc) {
       out_v3 = argv[++i];
-    } else if (arg == "--out-v2" && i + 1 < argc) {
-      out_v2 = argv[++i];
     } else if (arg == "--csv" && i + 1 < argc) {
       out_csv = argv[++i];
     } else if (arg == "--help" || arg == "-h") {
@@ -81,9 +73,7 @@ int main(int argc, char** argv) {
       return tools::kExitUsage;
     }
   }
-  const int outputs = (out_v3.empty() ? 0 : 1) + (out_v2.empty() ? 0 : 1) +
-                      (out_csv.empty() ? 0 : 1);
-  if (in_path.empty() || outputs != 1) {
+  if (in_path.empty() || out_v3.empty() == out_csv.empty()) {
     usage();
     return tools::kExitUsage;
   }
@@ -109,15 +99,11 @@ int main(int argc, char** argv) {
       core::export_dataset_csv(dataset, out_csv);
       std::cout << "Wrote CSV corpus to " << out_csv << "/\n";
     } else {
-      const std::string& out = out_v3.empty() ? out_v2 : out_v3;
-      const util::Status st =
-          out_v3.empty() ? dataset.try_save_v2(out) : dataset.try_save(out);
-      if (!st.ok()) {
+      if (const util::Status st = dataset.try_save(out_v3); !st.ok()) {
         std::cerr << "bw-convert: " << st.to_string() << "\n";
         return tools::kExitData;
       }
-      std::cout << "Wrote " << (out_v3.empty() ? "v2" : "v3") << " corpus to "
-                << out << "\n";
+      std::cout << "Wrote v3 corpus to " << out_v3 << "\n";
     }
 
     obs::Manifest manifest;
