@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <unordered_set>
 
 #include "core/engine.hpp"
@@ -149,20 +150,17 @@ void Dataset::sanitize(const BuildOptions& options) {
   }
 }
 
-namespace {
+std::unordered_map<net::Mac, std::uint32_t> Dataset::build_control_indices() {
+  // Time order, withdraws before announces at equal times.
+  util::parallel_sort(util::ThreadPool::global(), control_.begin(),
+                      control_.end(),
+                      [](const bgp::Update& a, const bgp::Update& b) {
+                        if (a.time != b.time) return a.time < b.time;
+                        return a.type == bgp::UpdateType::kWithdraw &&
+                               b.type == bgp::UpdateType::kAnnounce;
+                      });
 
-/// Control-plane time order, withdraws before announces at equal times —
-/// shared by the overlapped build and the chunked-open control build so the
-/// two modes agree on the update sequence byte-for-byte.
-bool control_update_less(const bgp::Update& a, const bgp::Update& b) {
-  if (a.time != b.time) return a.time < b.time;
-  return a.type == bgp::UpdateType::kWithdraw &&
-         b.type == bgp::UpdateType::kAnnounce;
-}
-
-}  // namespace
-
-void Dataset::replay_blackholes() {
+  // Route-server replay: sequential by nature (open/close state).
   blackhole_updates_.clear();
   for (const auto& u : control_) {
     if (!u.is_blackhole()) continue;
@@ -174,9 +172,11 @@ void Dataset::replay_blackholes() {
     }
   }
   rs_index_.finalize(period_.end);
-}
 
-std::unordered_map<net::Mac, std::uint32_t> Dataset::member_id_map() {
+  // FlatLpm freezes the origin table with last-wins dedupe — exactly the
+  // overwrite semantics the trie's insert loop had.
+  origin_lpm_ = net::FlatLpm<bgp::Asn>(origin_prefixes_);
+
   // Dense member-source table: ascending unique source ASes, plus the
   // MAC -> dense id map the column build resolves handover MACs through.
   // Iterating a flat per-id array then visits ASes in ascending-ASN order,
@@ -197,42 +197,18 @@ std::unordered_map<net::Mac, std::uint32_t> Dataset::member_id_map() {
   return member_ids;
 }
 
-std::unordered_map<net::Mac, std::uint32_t> Dataset::build_control_indices() {
-  util::ThreadPool& pool = util::ThreadPool::global();
-  util::parallel_sort(pool, control_.begin(), control_.end(),
-                      control_update_less);
-  replay_blackholes();
-  // FlatLpm freezes the origin table with last-wins dedupe — exactly the
-  // overwrite semantics the trie's insert loop had.
-  origin_lpm_ = net::FlatLpm<bgp::Asn>(origin_prefixes_);
-  return member_id_map();
-}
-
 void Dataset::build_indices() {
   util::ThreadPool& pool = util::ThreadPool::global();
 
-  // Sort the two raw corpora concurrently; each sort is itself parallel.
-  // Both comparators, with parallel_sort's stability, yield an order that
-  // is independent of the thread count.
-  auto control_sorted = pool.submit([&] {
-    util::parallel_sort(pool, control_.begin(), control_.end(),
-                        control_update_less);
-  });
+  // The control plane (its own parallel sort, the sequential route-server
+  // replay, the LPM and member tables) runs as one task beside the flow
+  // sorts below. Every comparator, with parallel_sort's stability, yields
+  // an order that is independent of the thread count.
+  auto control_done = pool.submit([this] { return build_control_indices(); });
   util::parallel_sort(pool, data_.begin(), data_.end(),
                       [](const flow::FlowRecord& a, const flow::FlowRecord& b) {
                         return a.time < b.time;
                       });
-  control_sorted.get();
-
-  // The route-server replay is inherently sequential (open/close state),
-  // but it only walks the control plane — overlap it with the trie build
-  // and the flow-index sorts below.
-  auto blackholes_done = pool.submit([&] { replay_blackholes(); });
-  auto lpm_done = pool.submit([&] {
-    // FlatLpm freezes the origin table with last-wins dedupe — exactly the
-    // overwrite semantics the trie's insert loop had.
-    origin_lpm_ = net::FlatLpm<bgp::Asn>(origin_prefixes_);
-  });
 
   // The src order is only needed to lay out the s_* columns; the dst order
   // is kept for try_save's chunk layout.
@@ -265,13 +241,10 @@ void Dataset::build_indices() {
                       });
 
   const std::unordered_map<net::Mac, std::uint32_t> member_ids =
-      member_id_map();
-
+      control_done.get();
   by_dst_done.get();
   columns_ = flow::FlowColumns::build(data_, by_dst_, by_src, member_ids,
                                       pool);
-  blackholes_done.get();
-  lpm_done.get();
 }
 
 std::optional<bgp::Asn> Dataset::member_asn(net::Mac mac) const {
@@ -479,13 +452,15 @@ void write_table_sections(
   }
   w.end_section();
 
+  // Ascending MAC order, not hash-map order: re-saving a loaded corpus
+  // then reproduces its file.
+  const std::map<net::Mac, bgp::Asn> macs(mac_to_asn.begin(),
+                                          mac_to_asn.end());
   w.begin_section(kSecMacs);
-  put_u64(w, mac_to_asn.size());
-  put_span<DiskMacEntry>(w, mac_to_asn.begin(), mac_to_asn.end(),
-                         [](const auto& entry) {
-                           return DiskMacEntry{entry.first.value(),
-                                               entry.second};
-                         });
+  put_u64(w, macs.size());
+  put_span<DiskMacEntry>(w, macs.begin(), macs.end(), [](const auto& entry) {
+    return DiskMacEntry{entry.first.value(), entry.second};
+  });
   w.end_section();
 
   w.begin_section(kSecOrigins);
@@ -842,62 +817,101 @@ util::Result<OpenedContainer> open_container(const std::string& path,
 
 }  // namespace
 
+util::Result<Dataset> Dataset::open_v3(const std::string& path,
+                                       const char* op) {
+  auto opened = open_container(path, op, util::container::kVersionV3);
+  if (!opened.ok()) return opened.status();
+  LoadedTables& tables = opened->tables;
+  opened->is.close();
+
+  Dataset d;
+  d.control_ = std::move(tables.control);
+  d.mac_to_asn_ = std::move(tables.macs);
+  d.origin_prefixes_ = std::move(tables.origins);
+  d.period_ = tables.period;
+  (void)d.build_control_indices();
+  // src_member ids index the member tables just built; the store rejects
+  // any other id in the chunk that holds it.
+  auto store = store::FlowStore::open(path, d.source_as_count());
+  if (!store.ok()) return in_file(store.status(), op, path);
+  d.store_ = *store;
+  // Sanitation ran before the file was written; the only quality signal
+  // that survives serialization is the persisted unknown-MAC count.
+  d.quality_.unknown_mac_flows =
+      static_cast<std::size_t>(d.store_->unknown_mac_flows());
+  return d;
+}
+
 util::Result<Dataset> Dataset::try_load(const std::string& path) {
   static constexpr const char* kOp = "Dataset::try_load";
   const obs::TraceSpan span("dataset.try_load", "io");
   const obs::StopWatch wall;
   util::Result<Dataset> result = [&]() -> util::Result<Dataset> {
-    auto opened = open_container(path, kOp, util::container::kVersionV3);
-    if (!opened.ok()) return opened.status();
-    auto& [is, toc, tables] = *opened;
+    auto opened = open_v3(path, kOp);
+    if (!opened.ok()) return opened;
+    Dataset& d = *opened;
+    const store::FlowStore& fs = *d.store_;
     auto ctx = [&](util::Status st) {
       return in_file(std::move(st), kOp, path);
     };
 
-    // The src-projection chunks are never materialized here (the dst
-    // scatter below already rebuilds every flow), so stream-verify their
-    // CRCs explicitly: a full load must reject corruption anywhere in the
-    // container, not just in the bytes it happens to decode.
-    for (const auto& s : toc.sections) {
-      if (s.id != store::kSecSrcChunk) continue;
-      if (util::Status st = util::container::verify_section(is, s); !st.ok()) {
+    // The dst chunks already hold the columns in row order: append each one
+    // as it is decoded, and put only the AoS records back at their original
+    // (time-sorted) positions. Each chunk is decoded once, uncached, and
+    // freed before the next.
+    const std::size_t n = fs.flow_count();
+    flow::FlowColumns& c = d.columns_;
+    auto append = [n](auto& column, const auto& part) {
+      column.reserve(n);
+      column.insert(column.end(), part.begin(), part.end());
+    };
+    d.data_.resize(n);
+    d.by_dst_.resize(n);
+    c.dropped_words.assign((n + 63) / 64, 0);
+    std::vector<std::uint64_t> seen((n + 63) / 64, 0);
+    for (std::size_t k = 0; k < fs.chunk_count(); ++k) {
+      store::ChunkData chunk;
+      if (util::Status st = fs.decode_at(k, /*src=*/false, chunk); !st.ok()) {
         return ctx(std::move(st));
       }
-    }
-    is.close();
-
-    // Materialize the flows: decode every dst chunk (each CRC-verified at
-    // fetch) and scatter rows back to their original time-sorted position.
-    // The rebuilt log is byte-for-byte the one try_save serialized, so the
-    // Dataset constructor reproduces identical indices and columns.
-    auto store_result = store::FlowStore::open(path);
-    if (!store_result.ok()) return ctx(store_result.status());
-    const std::shared_ptr<const store::FlowStore>& st_ptr = *store_result;
-    const std::uint64_t n_flows = st_ptr->flow_count();
-    flow::FlowLog data(n_flows);
-    std::vector<std::uint64_t> seen((n_flows + 63) / 64, 0);
-    for (std::size_t k = 0; k < st_ptr->chunk_count(); ++k) {
-      std::shared_ptr<const store::ChunkData> chunk;
-      if (util::Status st = st_ptr->try_chunk(k, /*src=*/false, chunk);
-          !st.ok()) {
-        return ctx(std::move(st));
-      }
-      const std::size_t rows = chunk->rows();
-      for (std::size_t i = 0; i < rows; ++i) {
-        const std::uint32_t pos = chunk->orig_pos[i];
-        if (pos >= n_flows ||
-            ((seen[pos >> 6] >> (pos & 63)) & 1u) != 0) {
+      const std::size_t base = c.size();
+      for (std::size_t i = 0; i < chunk.rows(); ++i) {
+        const std::uint32_t pos = chunk.orig_pos[i];
+        if (pos >= n || ((seen[pos >> 6] >> (pos & 63)) & 1u) != 0) {
           return ctx(util::data_loss(
               "section CHNK: duplicate or out-of-range row position"));
         }
         seen[pos >> 6] |= std::uint64_t{1} << (pos & 63);
-        data[pos] = st_ptr->record_at(*chunk, i);
+        d.by_dst_[base + i] = pos;
+        d.data_[pos] = fs.record_at(chunk, i);
+        if (chunk.cols.dropped(i)) {
+          c.dropped_words[(base + i) >> 6] |= std::uint64_t{1}
+                                              << ((base + i) & 63);
+        }
       }
+      append(c.time, chunk.cols.time);
+      append(c.src_ip, chunk.cols.src_ip);
+      append(c.dst_ip, chunk.cols.dst_ip);
+      append(c.proto, chunk.cols.proto);
+      append(c.src_port, chunk.cols.src_port);
+      append(c.dst_port, chunk.cols.dst_port);
+      append(c.packets, chunk.cols.packets);
+      append(c.bytes, chunk.cols.bytes);
+      append(c.src_member, chunk.cols.src_member);
     }
 
-    return Dataset(std::move(tables.control), std::move(data),
-                   std::move(tables.macs), std::move(tables.origins),
-                   tables.period);
+    for (std::size_t k = 0; k < fs.src_chunk_count(); ++k) {
+      store::ChunkData chunk;
+      if (util::Status st = fs.decode_at(k, /*src=*/true, chunk); !st.ok()) {
+        return ctx(std::move(st));
+      }
+      append(c.s_src_ip, chunk.cols.s_src_ip);
+      append(c.s_time, chunk.cols.s_time);
+      append(c.s_src_port, chunk.cols.s_src_port);
+      append(c.s_dst_port, chunk.cols.s_dst_port);
+    }
+    d.store_.reset();
+    return opened;
   }();
   record_io(io_metrics("load"), result.ok(), wall);
   return result;
@@ -945,35 +959,9 @@ util::Result<Dataset> Dataset::try_load_v2(const std::string& path) {
 }
 
 util::Result<Dataset> Dataset::try_open_chunked(const std::string& path) {
-  static constexpr const char* kOp = "Dataset::try_open_chunked";
   const obs::TraceSpan span("dataset.try_open_chunked", "io");
   const obs::StopWatch wall;
-  util::Result<Dataset> result = [&]() -> util::Result<Dataset> {
-    auto opened = open_container(path, kOp, util::container::kVersionV3);
-    if (!opened.ok()) return opened.status();
-    LoadedTables& tables = opened->tables;
-    opened->is.close();
-
-    auto store_result = store::FlowStore::open(path);
-    if (!store_result.ok()) return in_file(store_result.status(), kOp, path);
-
-    // Shell construction: control-plane state and indices as usual, flows
-    // left on disk behind the pruned chunk reader. data_/columns_/by_*_
-    // stay empty — every flow access goes through store_.
-    Dataset d;
-    d.control_ = std::move(tables.control);
-    d.mac_to_asn_ = std::move(tables.macs);
-    d.origin_prefixes_ = std::move(tables.origins);
-    d.period_ = tables.period;
-    d.store_ = *store_result;
-    // Sanitation ran before the file was written; the only quality signal
-    // that survives serialization is the persisted unknown-MAC count.
-    d.quality_ = Quality{};
-    d.quality_.unknown_mac_flows =
-        static_cast<std::size_t>(d.store_->unknown_mac_flows());
-    (void)d.build_control_indices();
-    return d;
-  }();
+  util::Result<Dataset> result = open_v3(path, "Dataset::try_open_chunked");
   record_io(io_metrics("load"), result.ok(), wall);
   return result;
 }

@@ -95,7 +95,7 @@ class Dataset {
   [[nodiscard]] const bgp::UpdateLog& control() const noexcept {
     return control_;
   }
-  /// The materialized flow log (input order, after sanitation). Empty in
+  /// The materialized flow log (time order, after sanitation). Empty in
   /// chunked (out-of-core) mode. Analysis kernels never read it — they scan
   /// through view(), which serves both modes; consumers that need whole
   /// records (replay, CSV export, the v2 writer) require a materializing
@@ -113,7 +113,8 @@ class Dataset {
     return rs_index_;
   }
 
-  /// Sanitation accounting from construction (see BuildOptions).
+  /// Sanitation accounting from construction (see BuildOptions). A dataset
+  /// opened from a v3 file carries only the persisted unknown-MAC count.
   [[nodiscard]] const Quality& quality() const noexcept { return quality_; }
 
   // --- attribution ---
@@ -139,10 +140,10 @@ class Dataset {
     return source_as_[id];
   }
 
-  /// The structure-of-arrays flow view, built by build_indices() alongside
-  /// the sorted indices (see flow/columns.hpp for the layout invariants).
-  /// Empty in chunked mode; kernels should go through view() instead, which
-  /// serves both modes with identical visit order.
+  /// The structure-of-arrays flow view (layout invariants: flow/columns.hpp),
+  /// built from the records by the constructor or taken from the chunks by
+  /// try_load. Empty in chunked mode; kernels should go through view(),
+  /// which serves both modes with identical visit order.
   [[nodiscard]] const flow::FlowColumns& columns() const noexcept {
     return columns_;
   }
@@ -161,8 +162,9 @@ class Dataset {
   /// Structured-error variants: the Status carries what failed and where
   /// (path, magic, truncation point). try_save writes the chunked .bwds v3
   /// format (column chunks + zone maps, streamed one chunk at a time);
-  /// try_load materializes a v3 file back into RAM and rejects v2 files
-  /// with an error naming tools/bw-convert.
+  /// try_load opens a v3 file like try_open_chunked, then decodes every
+  /// chunk once into RAM, keeping its row order (try_save reproduces the
+  /// file). Both reject v2 files with an error naming tools/bw-convert.
   [[nodiscard]] util::Status try_save(const std::string& path) const;
   [[nodiscard]] static util::Result<Dataset> try_load(const std::string& path);
 
@@ -196,17 +198,20 @@ class Dataset {
   [[nodiscard]] Summary summary(util::ThreadPool* pool = nullptr) const;
 
  private:
-  /// Chunked-open shell; fields are filled by try_open_chunked.
+  /// Chunked-open shell; fields are filled by open_v3.
   Dataset() = default;
+
+  /// The v3 open step try_load and try_open_chunked share: control-plane
+  /// tables and indices, flows behind a FlowStore. Errors name op and path.
+  static util::Result<Dataset> open_v3(const std::string& path,
+                                       const char* op);
 
   void sanitize(const BuildOptions& options);
   void build_indices();
   /// Control-plane half of build_indices (sorting, blackhole replay, LPM,
-  /// member tables) — everything a chunked dataset needs besides flows.
+  /// member tables) — everything a v3 open needs besides flows.
   /// Returns the MAC -> dense member id map the column build consumes.
   std::unordered_map<net::Mac, std::uint32_t> build_control_indices();
-  void replay_blackholes();
-  std::unordered_map<net::Mac, std::uint32_t> member_id_map();
 
   bgp::UpdateLog control_;
   flow::FlowLog data_;

@@ -258,7 +258,7 @@ util::Status decode_dst_chunk(const std::uint8_t* p, std::size_t len,
   c.src_member.resize(rows);
   for (std::size_t i = 0; i < rows; ++i) {
     std::uint64_t v = 0;
-    if (!get_varint(bp, bend, v)) {
+    if (!get_varint(bp, bend, v) || v > flow::FlowColumns::kNoMember) {
       return column_error("bad varint run", "src_member");
     }
     c.src_member[i] = v == 0 ? flow::FlowColumns::kNoMember
@@ -280,7 +280,9 @@ util::Status decode_dst_chunk(const std::uint8_t* p, std::size_t len,
     return column_error("bad length", "orig_pos");
   }
   out.orig_pos.resize(rows);
-  std::memcpy(out.orig_pos.data(), bp, rows * sizeof(std::uint32_t));
+  if (rows != 0) {  // an empty vector's data() may be null
+    std::memcpy(out.orig_pos.data(), bp, rows * sizeof(std::uint32_t));
+  }
   if (p != end) {
     return util::data_loss("store: trailing bytes after the last column block");
   }

@@ -86,9 +86,9 @@ void append_meta(std::vector<std::uint8_t>& out, const ChunkMeta& meta);
 [[nodiscard]] ChunkMeta parse_meta(const std::uint8_t* p);
 
 /// A decoded chunk. For dst chunks the dst-side FlowColumns fields are
-/// populated plus the sidecar columns a materializing load needs (dict MAC
-/// ids and the original time-sorted position of every row); for src chunks
-/// only the cols.s_* fields are populated.
+/// populated (Dataset::try_load appends them as they are) plus the sidecar
+/// columns its AoS records need (dict MAC ids and the original time-sorted
+/// position of every row); for src chunks only cols.s_* are populated.
 struct ChunkData {
   flow::FlowColumns cols;
   std::vector<std::uint32_t> src_mac_id;

@@ -177,7 +177,7 @@ const std::uint8_t* ChunkSource::fetch(
 }
 
 util::Result<std::shared_ptr<const FlowStore>> FlowStore::open(
-    const std::string& path) {
+    const std::string& path, std::size_t member_count) {
   const auto ctx = [&path](util::Status s) {
     return std::move(s).with_context("FlowStore::open: " + path);
   };
@@ -200,6 +200,7 @@ util::Result<std::shared_ptr<const FlowStore>> FlowStore::open(
   std::shared_ptr<FlowStore> fs(new FlowStore());
   fs->path_ = path;
   fs->store_id_ = next_store_id();
+  fs->member_count_ = member_count;
   for (const Section& s : toc.sections) {
     if (s.id == kSecChunk) fs->dst_sections_.push_back(s);
     if (s.id == kSecSrcChunk) fs->src_sections_.push_back(s);
@@ -230,7 +231,9 @@ util::Result<std::shared_ptr<const FlowStore>> FlowStore::open(
       return ctx(util::data_loss("MDIC: length does not match entry count"));
     }
     fs->mac_dict_.resize(count);
-    std::memcpy(fs->mac_dict_.data(), p, count * sizeof(std::uint64_t));
+    if (count != 0) {  // an empty vector's data() may be null
+      std::memcpy(fs->mac_dict_.data(), p, count * sizeof(std::uint64_t));
+    }
     if (!std::is_sorted(fs->mac_dict_.begin(), fs->mac_dict_.end())) {
       return ctx(util::data_loss("MDIC: dictionary is not sorted"));
     }
@@ -308,10 +311,15 @@ util::Status FlowStore::decode_at(std::size_t k, bool src,
     return ctx(util::data_loss("decoded row count disagrees with the index"));
   }
   if (!src) {
+    const std::vector<std::uint32_t>& member = out.cols.src_member;
     for (std::size_t i = 0; i < out.src_mac_id.size(); ++i) {
       if (out.src_mac_id[i] >= mac_dict_.size() ||
           out.dst_mac_id[i] >= mac_dict_.size()) {
         return ctx(util::data_loss("MAC id outside the dictionary"));
+      }
+      if (member[i] >= member_count_ &&
+          member[i] != flow::FlowColumns::kNoMember) {
+        return ctx(util::data_loss("src_member outside the member table"));
       }
     }
   }
@@ -319,18 +327,19 @@ util::Status FlowStore::decode_at(std::size_t k, bool src,
   return util::ok_status();
 }
 
-util::Status FlowStore::try_chunk(
-    std::size_t k, bool src, std::shared_ptr<const ChunkData>& out) const {
+std::shared_ptr<const ChunkData> FlowStore::chunk(std::size_t k,
+                                                  bool src) const {
   for (CacheSlot& slot : t_chunk_cache) {
     if (slot.chunk != nullptr && slot.store_id == store_id_ &&
         slot.idx == k && slot.src == src) {
       slot.stamp = ++t_cache_stamp;
-      out = slot.chunk;
-      return util::ok_status();
+      return slot.chunk;
     }
   }
   auto data = std::make_shared<ChunkData>();
-  if (util::Status s = decode_at(k, src, *data); !s.ok()) return s;
+  if (util::Status s = decode_at(k, src, *data); !s.ok()) {
+    throw std::runtime_error(s.message());
+  }
   CacheSlot* victim = &t_chunk_cache[0];
   for (CacheSlot& slot : t_chunk_cache) {
     if (slot.stamp < victim->stamp) victim = &slot;
@@ -340,24 +349,7 @@ util::Status FlowStore::try_chunk(
   victim->src = src;
   victim->stamp = ++t_cache_stamp;
   victim->chunk = data;
-  out = std::move(data);
-  return util::ok_status();
-}
-
-std::shared_ptr<const ChunkData> FlowStore::chunk(std::size_t k) const {
-  std::shared_ptr<const ChunkData> out;
-  if (util::Status s = try_chunk(k, false, out); !s.ok()) {
-    throw std::runtime_error(s.message());
-  }
-  return out;
-}
-
-std::shared_ptr<const ChunkData> FlowStore::src_chunk(std::size_t k) const {
-  std::shared_ptr<const ChunkData> out;
-  if (util::Status s = try_chunk(k, true, out); !s.ok()) {
-    throw std::runtime_error(s.message());
-  }
-  return out;
+  return data;
 }
 
 }  // namespace bw::store

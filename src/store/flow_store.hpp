@@ -93,9 +93,11 @@ class ChunkSource {
 class FlowStore : public std::enable_shared_from_this<FlowStore> {
  public:
   /// Validate the frame and load the metadata sections (CIDX/SIDX/MDIC/
-  /// SMET); chunk payloads stay on disk.
+  /// SMET); chunk payloads stay on disk. A dst chunk whose src_member is
+  /// neither kNoMember nor below `member_count` fails to decode (Dataset
+  /// passes source_as_count(), the size of the arrays kernels index).
   [[nodiscard]] static util::Result<std::shared_ptr<const FlowStore>> open(
-      const std::string& path);
+      const std::string& path, std::size_t member_count = SIZE_MAX);
 
   [[nodiscard]] std::uint64_t flow_count() const noexcept {
     return flow_count_;
@@ -117,16 +119,17 @@ class FlowStore : public std::enable_shared_from_this<FlowStore> {
   }
   [[nodiscard]] bool mapped() const noexcept { return source_.mapped(); }
 
-  /// Decode (or fetch from the per-thread cache) one chunk. Throws
-  /// std::runtime_error on corruption — scans run inside guarded pipeline
-  /// stages, which turn this into a degraded-stage report.
-  [[nodiscard]] std::shared_ptr<const ChunkData> chunk(std::size_t k) const;
-  [[nodiscard]] std::shared_ptr<const ChunkData> src_chunk(
-      std::size_t k) const;
+  /// Decode (or fetch from the per-thread cache) one dst (or, if `src`,
+  /// src) chunk. Throws std::runtime_error on corruption — scans run inside
+  /// guarded pipeline stages, which turn this into a degraded-stage report.
+  [[nodiscard]] std::shared_ptr<const ChunkData> chunk(std::size_t k,
+                                                       bool src = false) const;
 
-  /// Non-throwing chunk decode (materializing loads report a Status).
-  [[nodiscard]] util::Status try_chunk(
-      std::size_t k, bool src, std::shared_ptr<const ChunkData>& out) const;
+  /// Non-throwing, uncached decode of chunk `k` of the dst (or, if `src`,
+  /// the src) family: CRC-verified and range-checked row by row; errors
+  /// name the section. Leaves nothing in the per-thread cache.
+  [[nodiscard]] util::Status decode_at(std::size_t k, bool src,
+                                       ChunkData& out) const;
 
   /// Reassemble the AoS record of dst-chunk row `i` (MAC ids resolved
   /// through the dictionary).
@@ -214,7 +217,7 @@ class FlowStore : public std::enable_shared_from_this<FlowStore> {
       const ChunkMeta& m = src_metas_[k];
       if (m.row_count == 0 || m.max_ip < ip) continue;
       if (m.min_ip > ip) break;
-      const std::shared_ptr<const ChunkData> ch = src_chunk(k);
+      const std::shared_ptr<const ChunkData> ch = chunk(k, /*src=*/true);
       const flow::FlowColumns::Range r = ch->cols.src_run(addr);
       rows += r.size();
       for (std::size_t i = r.begin; i < r.end; ++i) fn(*ch, i);
@@ -239,14 +242,12 @@ class FlowStore : public std::enable_shared_from_this<FlowStore> {
  private:
   FlowStore() = default;
 
-  [[nodiscard]] util::Status decode_at(std::size_t k, bool src,
-                                       ChunkData& out) const;
-
   ChunkSource source_;
   std::string path_;
   std::uint64_t store_id_{0};  ///< unique per open; keys the thread cache
   std::uint64_t flow_count_{0};
   std::uint64_t unknown_mac_flows_{0};
+  std::size_t member_count_{0};
   std::vector<util::container::Section> dst_sections_;
   std::vector<util::container::Section> src_sections_;
   std::vector<ChunkMeta> dst_metas_;

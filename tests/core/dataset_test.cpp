@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "core/flow_view.hpp"
@@ -279,6 +280,40 @@ TEST_F(DatasetTest, SaveLoadRoundTrip) {
   EXPECT_EQ(s1.dropped_packets, s2.dropped_packets);
   // Control log round-trips communities.
   EXPECT_TRUE(loaded.control()[0].is_blackhole());
+}
+
+/// The whole file as bytes.
+std::string file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+// try_load keeps the file's columns, row order and row positions as they
+// are, so saving the loaded dataset must reproduce the file byte for byte:
+// with 16-row chunks (whose boundaries are not 64-row aligned, so the
+// dropped bitmap is appended mid-word) and at the default chunk size.
+TEST_F(DatasetTest, ResaveOfLoadedFileReproducesItsBytes) {
+  const std::string base = testing::TempDir() + "/bw_dataset_resave." +
+                           std::to_string(::getpid());
+  for (const char* rows : {"16", ""}) {
+    SCOPED_TRACE(std::string("BW_STORE_CHUNK_ROWS=") + rows);
+    const std::string original = base + ".a.bwds";
+    const std::string again = base + ".b.bwds";
+    ::setenv("BW_STORE_CHUNK_ROWS", rows, 1);
+    const util::Status saved = dataset_->try_save(original);
+    auto loaded = Dataset::try_load(original);
+    const util::Status resaved =
+        loaded.ok() ? loaded->try_save(again) : loaded.status();
+    ::unsetenv("BW_STORE_CHUNK_ROWS");
+    ASSERT_TRUE(saved.ok()) << saved.to_string();
+    ASSERT_TRUE(resaved.ok()) << resaved.to_string();
+    EXPECT_FALSE(loaded->chunked());
+    const std::string a = file_bytes(original);
+    EXPECT_FALSE(a.empty());
+    EXPECT_TRUE(a == file_bytes(again));
+    std::remove(original.c_str());
+    std::remove(again.c_str());
+  }
 }
 
 TEST_F(DatasetTest, LoadRejectsGarbage) {

@@ -6,8 +6,9 @@
 // record walks) and both rendered these exact bytes at 1 and 8 workers.
 // They are the independent oracle for every figure the report renders:
 // any change to a kernel's semantics, accumulation order or formatting
-// moves a digest. Each corpus is checked four ways — {in RAM, saved and
-// reopened out-of-core} x {serial, 7 workers}.
+// moves a digest. Each corpus is checked six ways — {in RAM as built,
+// saved and reopened out-of-core, saved and loaded back into RAM} x
+// {serial, 7 workers}.
 //
 // On a mismatch the offending report is written next to the corpus under
 // the per-process temp dir and the failure names the file, so the diff
@@ -108,6 +109,12 @@ TEST_P(ReportGoldenTest, ReportMatchesPinnedDigestInRamAndChunked) {
   ASSERT_TRUE(chunked->chunked());
   expect_golden(render_report(*chunked, 0), "chunked_serial");
   expect_golden(render_report(*chunked, 7), "chunked_8way");
+
+  auto loaded = Dataset::try_load(corpus.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  ASSERT_FALSE(loaded->chunked());
+  expect_golden(render_report(*loaded, 0), "loaded_serial");
+  expect_golden(render_report(*loaded, 7), "loaded_8way");
   fs::remove(corpus);
 }
 

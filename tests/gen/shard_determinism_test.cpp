@@ -104,7 +104,9 @@ TEST(ShardDeterminismTest, PlannerCoversPlanContiguously) {
     EXPECT_EQ(shards.back().end, plan.size());
     for (std::size_t i = 0; i < shards.size(); ++i) {
       EXPECT_LT(shards[i].begin, shards[i].end);  // non-empty
-      if (i > 0) EXPECT_EQ(shards[i - 1].end, shards[i].begin);  // contiguous
+      if (i > 0) {
+        EXPECT_EQ(shards[i - 1].end, shards[i].begin);  // contiguous
+      }
     }
   }
 

@@ -192,12 +192,12 @@ TEST_F(FlowStoreTest, RecordAtReassemblesTheOriginalFlow) {
   auto store = FlowStore::open(*path_);
   ASSERT_TRUE(store.ok()) << store.status().to_string();
   const flow::FlowLog& flows = dataset_->flows();
-  std::shared_ptr<const ChunkData> chunk;
-  ASSERT_TRUE((*store)->try_chunk(0, /*src=*/false, chunk).ok());
-  ASSERT_GT(chunk->rows(), 0u);
-  for (std::size_t i = 0; i < chunk->rows(); ++i) {
-    const flow::FlowRecord rec = (*store)->record_at(*chunk, i);
-    const flow::FlowRecord& orig = flows[chunk->orig_pos[i]];
+  ChunkData chunk;
+  ASSERT_TRUE((*store)->decode_at(0, /*src=*/false, chunk).ok());
+  ASSERT_GT(chunk.rows(), 0u);
+  for (std::size_t i = 0; i < chunk.rows(); ++i) {
+    const flow::FlowRecord rec = (*store)->record_at(chunk, i);
+    const flow::FlowRecord& orig = flows[chunk.orig_pos[i]];
     EXPECT_EQ(rec.time, orig.time);
     EXPECT_EQ(rec.src_ip, orig.src_ip);
     EXPECT_EQ(rec.dst_ip, orig.dst_ip);
@@ -284,9 +284,9 @@ TEST_F(FlowStoreTest, V2MigrationRoundTripPreservesTheCorpus) {
 TEST_F(FlowStoreTest, OutOfRangeChunkIsAnError) {
   auto store = FlowStore::open(*path_);
   ASSERT_TRUE(store.ok());
-  std::shared_ptr<const ChunkData> chunk;
+  ChunkData chunk;
   const util::Status s =
-      (*store)->try_chunk((*store)->chunk_count() + 7, false, chunk);
+      (*store)->decode_at((*store)->chunk_count() + 7, false, chunk);
   EXPECT_FALSE(s.ok());
 }
 

@@ -1,8 +1,9 @@
 // Store-layer fault behaviour that the generic binary-fault matrix cannot
 // pin down: corruption inside a specific chunk section must be reported
 // *section-precisely* (naming the CHNK/SCHK family), lazily (at first
-// touch, not at open), and a legacy v2 file must be refused with an error
-// that tells the operator exactly which tool migrates it.
+// touch, not at open), a CRC-valid chunk holding an out-of-range value
+// must be refused by the decoder, and a legacy v2 file must be refused with
+// an error that tells the operator exactly which tool migrates it.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -13,9 +14,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/dataset.hpp"
 #include "core/corpus.hpp"
+#include "core/pipeline.hpp"
 #include "store/flow_store.hpp"
 #include "util/container.hpp"
 
@@ -65,19 +68,48 @@ class StoreFaultTest : public ::testing::Test {
     return *found;
   }
 
+  std::string clean_bytes() {
+    std::ifstream is(clean_path_, std::ios::binary);
+    std::ostringstream ss;
+    ss << is.rdbuf();
+    return ss.str();
+  }
+
   /// Copy of the clean file with one payload byte of `section` flipped.
   std::string corrupt_copy(const util::container::Section& section) {
     const std::string path = (dir_ / "corrupt.bwds").string();
-    std::string bytes;
-    {
-      std::ifstream is(clean_path_, std::ios::binary);
-      std::ostringstream ss;
-      ss << is.rdbuf();
-      bytes = ss.str();
-    }
+    std::string bytes = clean_bytes();
     bytes[section.offset + section.length / 2] ^= 0x10;
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os << bytes;
+    return path;
+  }
+
+  /// Copy of the clean file re-framed section by section, with the payload
+  /// of the first `id` section replaced: every CRC in the copy is valid, so
+  /// only the decoders' own validation can reject the new payload.
+  std::string reframed_copy(std::uint32_t id,
+                            const std::vector<std::uint8_t>& payload) {
+    const std::string path = (dir_ / "reframed.bwds").string();
+    const std::string bytes = clean_bytes();
+    std::istringstream is(bytes);
+    auto toc = util::container::read_toc(is, bytes.size());
+    EXPECT_TRUE(toc.ok());
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    util::container::Writer w(os, toc->version);
+    bool replaced = false;
+    for (const util::container::Section& s : toc->sections) {
+      w.begin_section(s.id);
+      if (s.id == id && !replaced) {
+        w.write(payload.data(), payload.size());
+        replaced = true;
+      } else {
+        w.write(bytes.data() + s.offset, s.length);
+      }
+      w.end_section();
+    }
+    EXPECT_TRUE(replaced);
+    EXPECT_TRUE(w.finish().ok());
     return path;
   }
 
@@ -93,8 +125,8 @@ TEST_F(StoreFaultTest, CorruptDstChunkFailsAtTouchNamingTheSection) {
   auto store = FlowStore::open(path);
   ASSERT_TRUE(store.ok()) << store.status().to_string();
   // First touch of the damaged chunk reports it precisely.
-  std::shared_ptr<const ChunkData> chunk;
-  const util::Status s = (*store)->try_chunk(0, /*src=*/false, chunk);
+  ChunkData chunk;
+  const util::Status s = (*store)->decode_at(0, /*src=*/false, chunk);
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.to_string().find("CHNK"), std::string::npos) << s.to_string();
 
@@ -107,12 +139,50 @@ TEST_F(StoreFaultTest, CorruptDstChunkFailsAtTouchNamingTheSection) {
 
 TEST_F(StoreFaultTest, CorruptSrcChunkIsStillCaughtByFullLoad) {
   const std::string path = corrupt_copy(find_section(kSecSrcChunk));
-  // The materializing loader never decodes src chunks — it must verify
-  // their checksums explicitly instead of shipping a silently damaged file.
+  // The materializing loader decodes every src chunk, so a damaged one
+  // fails its checksum there instead of shipping a silently damaged file.
   const auto loaded = core::Dataset::try_load(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().to_string().find("SCHK"), std::string::npos)
       << loaded.status().to_string();
+}
+
+TEST_F(StoreFaultTest, OutOfRangeSrcMemberIsRejectedWhereTheChunkDecodes) {
+  // Chunk 0 re-encoded with a member id one past the source-AS table.
+  // Per-member kernels index arrays of source_as_count() entries with it,
+  // so the decoder must refuse the row rather than hand it on.
+  std::vector<std::uint8_t> payload;
+  {
+    auto store = FlowStore::open(clean_path_);
+    ASSERT_TRUE(store.ok()) << store.status().to_string();
+    ChunkData chunk;
+    ASSERT_TRUE((*store)->decode_at(0, /*src=*/false, chunk).ok());
+    chunk.cols.src_member[0] =
+        static_cast<std::uint32_t>(dataset_->source_as_count());
+    encode_dst_chunk(chunk, payload);
+  }
+  const std::string path = reframed_copy(kSecChunk, payload);
+
+  const auto loaded = core::Dataset::try_load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kDataLoss);
+  const std::string msg = loaded.status().to_string();
+  EXPECT_NE(msg.find("CHNK[0]"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("src_member"), std::string::npos) << msg;
+
+  // Out of core the file opens (payloads are not read at open); the scans
+  // that touch chunk 0 then fail inside their guarded stages.
+  auto chunked = core::Dataset::try_open_chunked(path);
+  ASSERT_TRUE(chunked.ok()) << chunked.status().to_string();
+  const core::AnalysisReport report = core::run_pipeline(*chunked);
+  EXPECT_TRUE(report.data_quality.degraded());
+  bool named = false;
+  for (const core::StageStatus& stage : report.data_quality.stages) {
+    if (stage.degraded && stage.error.find("src_member") != std::string::npos) {
+      named = true;
+    }
+  }
+  EXPECT_TRUE(named);
 }
 
 TEST_F(StoreFaultTest, CorruptChunkIndexFailsAtOpen) {

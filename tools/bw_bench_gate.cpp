@@ -4,7 +4,8 @@
 // micro_* benches) against the committed baseline and fails when the
 // single-thread throughput regressed by more than the allowed fraction.
 //
-//   bench-gate --baseline BENCH_pipeline.json --current bench_out/BENCH_pipeline.json \
+//   bench-gate --baseline BENCH_pipeline.json
+//              --current bench_out/BENCH_pipeline.json
 //              [--max-regression 0.10] [--threads 1]
 //
 // Exit codes:
